@@ -8,10 +8,14 @@
 // paper's population (10k/2k join phases); --scale adjusts.
 //
 // --shards <k> runs the same workload on the sharded conservative
-// parallel engine (core::ShardedBneck) with k worker shards.  The
-// figure output on stdout is byte-identical to the classic single-thread
-// path at any shard count (the determinism contract,
-// docs/architecture.md); engine diagnostics go to stderr so A/B
+// parallel engine (core::ShardedBneck) with k worker shards.  At k = 1
+// the figure output on stdout is byte-identical to the classic
+// single-thread path.  At k > 1 it is deterministic for a given k but
+// drifts from the classic output where same-instant sends race on
+// different shards (at --scale 0.05, phase 1 sends 1,727,267 packets at
+// k = 4 against 1,724,674 single-threaded); converged rates and
+// per-phase session counts still match (the determinism contract,
+// docs/architecture.md).  Engine diagnostics go to stderr so A/B
 // comparisons can diff stdout directly.
 //
 // Expected shape: a burst of Join/Probe/Response traffic at each phase

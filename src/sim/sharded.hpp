@@ -6,45 +6,75 @@
 // arrives at least `lookahead` later (lookahead = minimum propagation
 // delay of any cross-shard link, net/partition.hpp), so a window of that
 // width can run with no incoming surprises.  Windows are not fixed-width
-// on the timeline, though: after every exchange the next horizon is
+// on the timeline, though: after every round the next horizon is
 //
-//     H = (min over shards of the shard's next event time) + lookahead
+//     H = (min over shards of the shard's next event time,
+//          including cross-shard arrivals posted this window) + lookahead
 //
 // which jumps straight over quiescent gaps — essential here, where LAN
 // lookahead is 1 µs but B-Neck's inter-phase silences span tens of ms.
 //
-// Each round has two barriers:
-//   run barrier    — every shard has processed its events below H
-//                    (Simulator::run_before, min_time()'s O(1) peek is
-//                    the polling primitive) and finished writing its
-//                    outboxes;
-//   sync barrier   — every shard has drained the outboxes addressed to
-//                    it into its own event queue and published its local
-//                    minimum; the barrier's completion step computes the
-//                    next horizon (or termination) before anyone resumes.
-// All cross-thread data (outboxes, horizon) is handed over at these
-// barriers only — no locks, no atomics in the window hot path, and the
-// happens-before edges the barriers provide are exactly what TSan
-// verifies in the build-tsan CI cell.
+// Each round crosses ONE barrier:
+//   window         — every shard processes its events below H
+//                    (Simulator::run_before; min_time()'s O(1) peek is
+//                    the polling primitive), appending cross-shard sends
+//                    to its outboxes for this window's parity;
+//   publish        — before arriving, each shard publishes
+//                    min(next local event time, earliest arrival it
+//                    posted this window).  The global minimum of these
+//                    equals the global minimum *after* every batch has
+//                    been scheduled, because scheduling a batch only adds
+//                    events at exactly the posted arrival times;
+//   barrier        — the last arriver computes the next horizon (or
+//                    termination) and the window count in the completion
+//                    step, then releases everyone;
+//   drain          — each shard collects the outboxes of the finished
+//                    window's parity addressed to it, sorts, schedules,
+//                    and runs the next window.  Outboxes are double-
+//                    buffered by parity, so a fast shard can already post
+//                    into the other buffer while a slow one still drains:
+//                    no shard reaches the window after next, which reuses
+//                    the buffer, before every shard has drained and
+//                    arrived at the next barrier.
+// The barrier (SpinParkBarrier below) spins for kSpin, then parks on
+// std::atomic::wait; the releaser calls notify_all only when a waiter
+// is parked.  A round whose waiters all arrive within the spin costs no
+// system call, and a long-waiting shard still gives its core back (on
+// churn_sharded4 about nine waits in ten outlast the spin and park).
+// Pure spinning would burn a core per waiter and starve the shard
+// everybody is waiting on whenever the host has fewer free cores than
+// shards.
+//
+// Happens-before: every cross-thread datum (outboxes, published minima,
+// horizon) is written before the writer's acq_rel arrival on the barrier
+// and read after the reader's acquire of the new generation (or, for the
+// last arriver, after its own arrival RMW, which heads the release
+// sequence of every earlier arrival).  The TSan cell in CI checks exactly
+// this.
 //
 // Determinism: every cross-shard message carries (arrival time, source
-// shard, per-source sequence).  Each exchange round sorts its batch on
-// exactly that key before scheduling, and a batch is scheduled at the
-// first barrier after its sends (the conservative invariant puts every
-// arrival at or beyond the next horizon, so the future-dated insert is
-// always legal).  Fixed the shard count, the destination queue therefore
-// receives cross-shard deliveries in identical (time, shard, seq) order
-// on every run — the sharded half of the determinism contract
-// (docs/architecture.md).  Scheduling at the send-adjacent barrier (not
-// the arrival window) also keeps a delivery's insertion sequence aligned
-// with its *send* time, matching the single-thread engine's (time,
-// insertion-seq) order everywhere except for sends that race within one
-// window on different shards — the irreducible ambiguity of parallel
-// execution.
+// shard, per-source sequence).  Each destination sorts its batch on
+// exactly that key before scheduling, and a batch is scheduled right
+// after the barrier that ends its send window, before the destination
+// runs the next window (the conservative invariant puts every arrival at
+// or beyond the next horizon, so the future-dated insert is always
+// legal).  The horizon values, the window count and the position of each
+// batch in its destination's queue operations therefore depend only on
+// the inputs and K, never on thread timing: fixed the shard count, the
+// destination queue receives cross-shard deliveries in identical (time,
+// shard, seq) order on every run — the sharded half of the determinism
+// contract (docs/architecture.md).  Scheduling at the send-adjacent
+// barrier (not the arrival window) also keeps a delivery's insertion
+// sequence aligned with its *send* time, matching the single-thread
+// engine's (time, insertion-seq) order everywhere except for sends that
+// race within one window on different shards — the irreducible
+// ambiguity of parallel execution.
 #pragma once
 
 #include <algorithm>
-#include <barrier>
+#include <array>
+#include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <exception>
 #include <functional>
@@ -54,18 +84,87 @@
 #include <utility>
 #include <vector>
 
+#if defined(__x86_64__) || defined(__i386__)
+#include <immintrin.h>
+#endif
+
 #include "base/expect.hpp"
 #include "base/time.hpp"
 #include "sim/simulator.hpp"
 
 namespace bneck::sim {
 
+/// Reusable barrier for a fixed number of threads whose waiters spin for
+/// kSpin before parking.  The last arriver runs a completion step while
+/// every other party is still held, then releases them all.
+class SpinParkBarrier {
+ public:
+  /// How long a waiter spins before it parks.  On churn_sharded4 (three
+  /// interleaved rounds, 4 vCPUs), 3 µs gave within 7% of the packets/s
+  /// of 10 µs and 30 µs for 12% and 30% less CPU time.
+  static constexpr std::chrono::nanoseconds kSpin{3000};
+
+  explicit SpinParkBarrier(std::uint32_t parties) : parties_(parties) {}
+
+  SpinParkBarrier(const SpinParkBarrier&) = delete;
+  SpinParkBarrier& operator=(const SpinParkBarrier&) = delete;
+
+  template <class Completion>
+  void arrive_and_wait(Completion&& completion) {
+    // Cannot advance before this party arrives, so this is the current
+    // generation (coherence with our own last observation of it).
+    const std::uint32_t gen = generation_.load(std::memory_order_relaxed);
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
+      completion();
+      arrived_.store(0, std::memory_order_relaxed);
+      // seq_cst pairs with the parking path below: either a parker's
+      // wait() sees the new generation, or this load sees its count.
+      generation_.store(gen + 1, std::memory_order_seq_cst);
+      if (parked_.load(std::memory_order_seq_cst) != 0) {
+        generation_.notify_all();
+      }
+      return;
+    }
+    const auto deadline = std::chrono::steady_clock::now() + kSpin;
+    while (generation_.load(std::memory_order_acquire) == gen) {
+      if (std::chrono::steady_clock::now() >= deadline) {
+        // A count, not a flag: a late releaser of the previous
+        // generation must not consume the mark of a thread that is
+        // already parked in this one.  A parker of a later generation
+        // only costs a spurious notify.
+        parked_.fetch_add(1, std::memory_order_seq_cst);
+        generation_.wait(gen, std::memory_order_seq_cst);
+        parked_.fetch_sub(1, std::memory_order_relaxed);
+        return;
+      }
+      cpu_relax();
+    }
+  }
+
+ private:
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    _mm_pause();
+#else
+    // Elsewhere the reload of the generation is the whole spin body.
+    std::atomic_signal_fence(std::memory_order_seq_cst);
+#endif
+  }
+
+  const std::uint32_t parties_;
+  // Arrivals and the generation the waiters poll live on separate cache
+  // lines, so an arrival does not invalidate every spinner's line.
+  alignas(64) std::atomic<std::uint32_t> arrived_{0};
+  alignas(64) std::atomic<std::uint32_t> generation_{0};
+  std::atomic<std::uint32_t> parked_{0};  // threads inside wait()
+};
+
 template <class Payload>
 class ShardedScheduler {
  public:
-  /// Runs on the destination shard's worker thread at the exchange
-  /// barrier; must schedule `payload` into that shard's simulator at
-  /// absolute (future) time t.
+  /// Runs on the destination shard's worker thread right after the
+  /// barrier that ends the send window; must schedule `payload` into
+  /// that shard's simulator at absolute (future) time t.
   using Deliver =
       std::function<void(std::int32_t dst_shard, TimeNs t, const Payload&)>;
 
@@ -77,15 +176,13 @@ class ShardedScheduler {
       : sims_(std::move(sims)),
         lookahead_(lookahead),
         deliver_(std::move(deliver)),
-        outbox_(sims_.size() * sims_.size()),
-        post_seq_(sims_.size(), 0),
-        posted_(sims_.size(), 0),
-        local_min_(sims_.size(), kTimeNever),
-        sync_barrier_(static_cast<std::ptrdiff_t>(sims_.size()),
-                      SyncCompletion{this}),
-        run_barrier_(static_cast<std::ptrdiff_t>(sims_.size())) {
+        shards_(sims_.size()),
+        barrier_(static_cast<std::uint32_t>(sims_.size())) {
     BNECK_EXPECT(!sims_.empty(), "sharded scheduler needs shards");
     BNECK_EXPECT(lookahead_ > 0, "non-positive lookahead");
+    for (Shard& s : shards_) {
+      for (auto& boxes : s.outbox) boxes.resize(sims_.size());
+    }
   }
 
   ShardedScheduler(const ShardedScheduler&) = delete;
@@ -102,11 +199,10 @@ class ShardedScheduler {
   void post(std::int32_t src, std::int32_t dst, TimeNs t,
             const Payload& payload) {
     BNECK_EXPECT(t >= horizon_, "cross-shard message inside the window");
-    auto& box = outbox_[static_cast<std::size_t>(src) * sims_.size() +
-                        static_cast<std::size_t>(dst)];
-    box.push_back(Msg{t, src, post_seq_[static_cast<std::size_t>(src)]++,
-                      payload});
-    ++posted_[static_cast<std::size_t>(src)];
+    Shard& s = shards_[static_cast<std::size_t>(src)];
+    s.outbox[s.parity][static_cast<std::size_t>(dst)].push_back(
+        Msg{t, src, s.post_seq++, payload});
+    s.posted_min = std::min(s.posted_min, t);
   }
 
   /// Runs every shard to global quiescence: all simulators idle and no
@@ -126,7 +222,8 @@ class ShardedScheduler {
     }
     done_ = false;
     for (std::size_t k = 0; k < sims_.size(); ++k) {
-      local_min_[k] = sims_[k]->next_event_time();
+      shards_[k].local_min = sims_[k]->next_event_time();
+      shards_[k].parity = 0;
     }
     recompute_horizon();
     if (done_) return;  // globally idle already, nothing to run
@@ -149,7 +246,7 @@ class ShardedScheduler {
   /// Cross-shard messages posted since construction.
   [[nodiscard]] std::uint64_t messages_posted() const {
     std::uint64_t total = 0;
-    for (const std::uint64_t n : posted_) total += n;
+    for (const Shard& s : shards_) total += s.post_seq;
     return total;
   }
   [[nodiscard]] TimeNs lookahead() const { return lookahead_; }
@@ -161,16 +258,23 @@ class ShardedScheduler {
     std::uint64_t seq;
     Payload payload;
   };
-  struct SyncCompletion {
-    ShardedScheduler* self;
-    void operator()() noexcept { self->recompute_horizon(); }
+
+  /// State written by one shard's worker, on its own cache lines.
+  struct alignas(64) Shard {
+    // outbox[parity][dst]: written by this shard during windows of that
+    // parity, drained by shard dst right after the window's barrier.
+    std::array<std::vector<std::vector<Msg>>, 2> outbox;
+    std::size_t parity = 0;          // parity of the window being run
+    std::uint64_t post_seq = 0;      // per-source message sequence
+    TimeNs posted_min = kTimeNever;  // earliest arrival posted this window
+    TimeNs local_min = kTimeNever;   // published before each arrival
   };
 
-  /// Runs as the sync barrier's completion step — all workers are parked,
+  /// Runs as the barrier's completion step — every other worker is held,
   /// so it reads/writes the shared round state race-free.
   void recompute_horizon() {
     TimeNs g = kTimeNever;
-    for (const TimeNs m : local_min_) g = std::min(g, m);
+    for (const Shard& s : shards_) g = std::min(g, s.local_min);
     if (g == kTimeNever || g > kTimeNever - lookahead_) {
       done_ = true;
       return;
@@ -181,9 +285,10 @@ class ShardedScheduler {
 
   void worker(std::int32_t k) {
     const auto i = static_cast<std::size_t>(k);
+    Shard& me = shards_[i];
     std::vector<Msg> batch;
     bool failed = false;
-    while (!done_) {
+    for (;;) {
       if (!failed) {
         try {
           sims_[i]->run_before(horizon_);
@@ -193,16 +298,20 @@ class ShardedScheduler {
           if (!first_error_) first_error_ = std::current_exception();
         }
       }
-      run_barrier_.arrive_and_wait();
-      // Every outbox is final for this round; collect what is mine and
-      // schedule it right away, in (time, shard, seq) order.  Every
-      // arrival lies at or beyond the next horizon (conservative
-      // invariant), so the future-dated insert is always legal, and
-      // scheduling at the send-adjacent barrier keeps insertion order
-      // close to the single-thread engine's.
+      // A failed shard stops contributing work so the healthy shards
+      // can still drain to quiescence before the error is rethrown; what
+      // it posted before failing still counts.
+      me.local_min = std::min(
+          failed ? kTimeNever : sims_[i]->next_event_time(), me.posted_min);
+      me.posted_min = kTimeNever;
+      const std::size_t sent = me.parity;
+      me.parity ^= 1;
+      barrier_.arrive_and_wait([this] { recompute_horizon(); });
+      // Every outbox of the finished window is final; collect what is
+      // mine and schedule it right away, in (time, shard, seq) order.
       batch.clear();
-      for (std::size_t src = 0; src < sims_.size(); ++src) {
-        auto& box = outbox_[src * sims_.size() + i];
+      for (Shard& src : shards_) {
+        auto& box = src.outbox[sent][i];
         batch.insert(batch.end(), std::make_move_iterator(box.begin()),
                      std::make_move_iterator(box.end()));
         box.clear();
@@ -215,10 +324,7 @@ class ShardedScheduler {
         });
         for (const Msg& m : batch) deliver_(k, m.t, m.payload);
       }
-      // A failed shard stops contributing work so the healthy shards
-      // can still drain to quiescence before the error is rethrown.
-      local_min_[i] = failed ? kTimeNever : sims_[i]->next_event_time();
-      sync_barrier_.arrive_and_wait();
+      if (done_) return;
     }
   }
 
@@ -253,17 +359,11 @@ class ShardedScheduler {
   std::vector<Simulator*> sims_;
   TimeNs lookahead_;
   Deliver deliver_;
+  std::vector<Shard> shards_;
 
-  // outbox_[src * K + dst]: written by shard src during a window,
-  // drained into shard dst's simulator between the two barriers.
-  std::vector<std::vector<Msg>> outbox_;
-  std::vector<std::uint64_t> post_seq_;  // per-source message sequence
-  std::vector<std::uint64_t> posted_;
-  std::vector<TimeNs> local_min_;      // published at the sync barrier
-
-  // Round state: written only by the sync barrier's completion step (all
-  // workers parked), read by workers after release — the barrier is the
-  // synchronization.
+  // Round state: written only by the barrier's completion step (every
+  // other worker held), read by workers after release — the barrier is
+  // the synchronization.
   TimeNs horizon_ = 0;
   bool done_ = false;
   std::uint64_t windows_ = 0;
@@ -271,8 +371,7 @@ class ShardedScheduler {
   std::mutex error_mutex_;
   std::exception_ptr first_error_;
 
-  std::barrier<SyncCompletion> sync_barrier_;
-  std::barrier<> run_barrier_;
+  SpinParkBarrier barrier_;
 };
 
 }  // namespace bneck::sim

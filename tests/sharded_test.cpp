@@ -15,10 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "core/bneck.hpp"
@@ -90,7 +92,87 @@ TEST(ShardedScheduler, PingPongRunsToGlobalQuiescence) {
               std::make_pair(TimeNs{10 + 20 * (TimeNs)i}, 7 - 2 * (int)i));
   }
   EXPECT_EQ(rig.sched->messages_posted(), 8u);
-  EXPECT_GE(rig.sched->windows_run(), 8u);
+  // One window per hop: the horizon chases each arrival, so the window
+  // ending at 10 * (n + 1) fires hop n, and the ninth window fires the
+  // last delivery (t = 80).  The window rule, not just a lower bound.
+  EXPECT_EQ(rig.sched->windows_run(), 9u);
+}
+
+/// One run of a K-shard relay in which shard 0 busy-waits well past the
+/// barrier's spin bound at every local tick, so in most windows the other
+/// shards give up spinning and park.  Returns everything the run must
+/// reproduce: the delivery log as (time, shard, payload) in per-shard
+/// firing order, the window count and the cross-shard message count.
+struct RelayRun {
+  std::vector<std::tuple<TimeNs, int, int>> log;
+  std::uint64_t windows = 0;
+  std::uint64_t posted = 0;
+};
+
+RelayRun run_relay_with_slow_shard(std::size_t k) {
+  constexpr TimeNs kHop = 10;
+  constexpr TimeNs kTicksUntil = 400;
+  const auto stall = 4 * sim::SpinParkBarrier::kSpin;
+  Rig rig(k, kHop);
+  std::function<void(std::int32_t, int)> relay = [&](std::int32_t me,
+                                                     int v) {
+    sim::Simulator& sim = *rig.sims[static_cast<std::size_t>(me)];
+    rig.logs[static_cast<std::size_t>(me)].emplace_back(sim.now(), v);
+    if (v <= 0) return;
+    const auto ki = static_cast<std::int32_t>(k);
+    // Jittered onward hop plus, every eighth value, a same-instant
+    // fan-out two shards on, so arrivals from different sources tie.
+    rig.sched->post(me, (me + 1) % ki, sim.now() + kHop + v % 3, v - 1);
+    if (v % 8 == 0) rig.sched->post(me, (me + 2) % ki, sim.now() + kHop, v - 1);
+  };
+  rig.sched = std::make_unique<sim::ShardedScheduler<int>>(
+      rig.ptrs, kHop, [&](std::int32_t dst, TimeNs t, const int& v) {
+        rig.sims[static_cast<std::size_t>(dst)]->schedule_at(
+            t, [&relay, dst, v] { relay(dst, v); });
+      });
+  std::function<void()> tick = [&] {
+    const auto until = std::chrono::steady_clock::now() + stall;
+    while (std::chrono::steady_clock::now() < until) {
+    }
+    if (rig.sims[0]->now() + kHop < kTicksUntil) {
+      rig.sims[0]->schedule_in(kHop, tick);
+    }
+  };
+  rig.sims[0]->schedule_at(0, tick);
+  for (std::size_t s = 0; s < k; ++s) {
+    rig.sims[s]->schedule_at(static_cast<TimeNs>(s), [&relay, s] {
+      relay(static_cast<std::int32_t>(s), 36);
+    });
+  }
+  rig.sched->run_until_idle();
+  RelayRun out;
+  for (std::size_t s = 0; s < k; ++s) {
+    for (const auto& [t, v] : rig.logs[s]) {
+      out.log.emplace_back(t, static_cast<int>(s), v);
+    }
+  }
+  out.windows = rig.sched->windows_run();
+  out.posted = rig.sched->messages_posted();
+  return out;
+}
+
+TEST(ShardedScheduler, ParkedShardsReproduceTheRunExactly) {
+  // Window and message counts are pinned: how the shards wait at the
+  // barrier (spinning or parked) must never change which windows run or
+  // what crosses between shards.
+  const std::array<std::pair<std::size_t, std::uint64_t>, 2> cases = {
+      {{3, 732}, {4, 976}}};
+  for (const auto& [k, posted] : cases) {
+    const RelayRun first = run_relay_with_slow_shard(k);
+    ASSERT_EQ(first.windows, 40u) << "k=" << k;
+    ASSERT_EQ(first.posted, posted) << "k=" << k;
+    for (int rep = 1; rep < 20; ++rep) {
+      const RelayRun again = run_relay_with_slow_shard(k);
+      ASSERT_EQ(again.log, first.log) << "k=" << k << " rep=" << rep;
+      ASSERT_EQ(again.windows, first.windows) << "k=" << k << " rep=" << rep;
+      ASSERT_EQ(again.posted, first.posted) << "k=" << k << " rep=" << rep;
+    }
+  }
 }
 
 TEST(ShardedScheduler, SameInstantArrivalsFollowShardThenSeqOrder) {
